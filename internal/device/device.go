@@ -140,12 +140,12 @@ type Op struct {
 
 // Device is an instantiated device attached to a host fabric.
 type Device struct {
-	spec     Spec
-	eng      *sim.Engine
-	fabric   *pcie.Fabric
-	internal *pcie.Link
-	slot     *pcie.Link
-	extra    []*pcie.Link // e.g. host root-complex budget
+	spec   Spec
+	eng    *sim.Engine
+	fabric *pcie.Fabric
+	// path is every op's transfer path, built once: the media link, the
+	// slot link, then the extra links (e.g. the host root-complex budget).
+	path []*pcie.Link
 
 	// Reads and writes occupy separate channel pools, mirroring real
 	// hardware (NVMe submission queues, RDMA queue pairs) and PCIe's full
@@ -186,15 +186,16 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, spec Spec, extraLinks ...*pcie.Li
 	if spec.Channels <= 0 {
 		panic(fmt.Sprintf("device %q: non-positive channel count", spec.Name))
 	}
+	path := make([]*pcie.Link, 2, 2+len(extraLinks))
+	path[0] = fabric.NewLink(spec.Name+"/media", spec.Bandwidth)
+	path[1] = fabric.NewLink(spec.Name+"/slot", spec.SlotBandwidth())
 	d := &Device{
-		spec:     spec,
-		eng:      eng,
-		fabric:   fabric,
-		internal: fabric.NewLink(spec.Name+"/media", spec.Bandwidth),
-		slot:     fabric.NewLink(spec.Name+"/slot", spec.SlotBandwidth()),
-		extra:    extraLinks,
-		readCh:   sim.NewResource(eng, spec.Channels),
-		writeCh:  sim.NewResource(eng, spec.Channels),
+		spec:    spec,
+		eng:     eng,
+		fabric:  fabric,
+		path:    append(path, extraLinks...),
+		readCh:  sim.NewResource(eng, spec.Channels),
+		writeCh: sim.NewResource(eng, spec.Channels),
 	}
 	d.latFactor = 1
 	d.Ops.Name = spec.Name + ".ops"
@@ -209,8 +210,8 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, spec Spec, extraLinks ...*pcie.Li
 			d.obsQueue = r.Timeline(d.track+"/queue", obs.DefaultTimelineWidth, obs.ModeMean)
 			r.OnSeal(func() {
 				now := eng.Now()
-				r.Gauge(d.track + "/utilization/media").Set(d.internal.Utilization(now))
-				r.Gauge(d.track + "/utilization/slot").Set(d.slot.Utilization(now))
+				r.Gauge(d.track + "/utilization/media").Set(d.MediaLink().Utilization(now))
+				r.Gauge(d.track + "/utilization/slot").Set(d.SlotLink().Utilization(now))
 				r.Counter(d.track + "/ops").Add(float64(d.Ops.Value))
 				r.Counter(d.track + "/failed").Add(float64(d.Failed.Value))
 				r.Counter(d.track + "/dropped").Add(float64(d.Dropped.Value))
@@ -246,10 +247,10 @@ func (d *Device) QueueDepth() int { return d.readCh.Waiting() + d.writeCh.Waitin
 func (d *Device) InFlight() int { return d.readCh.InUse() + d.writeCh.InUse() }
 
 // SlotLink exposes the device's PCIe slot link for utilization reporting.
-func (d *Device) SlotLink() *pcie.Link { return d.slot }
+func (d *Device) SlotLink() *pcie.Link { return d.path[1] }
 
 // MediaLink exposes the device's internal-bandwidth link.
-func (d *Device) MediaLink() *pcie.Link { return d.internal }
+func (d *Device) MediaLink() *pcie.Link { return d.path[0] }
 
 // --- fault state (the faults.Target interface) ---
 
@@ -289,7 +290,7 @@ func (d *Device) Degrade(lat, bw float64) {
 		bw = 1
 	}
 	d.latFactor = lat
-	d.internal.SetCapacity(units.BytesPerSec(float64(d.spec.Bandwidth) * bw))
+	d.MediaLink().SetCapacity(units.BytesPerSec(float64(d.spec.Bandwidth) * bw))
 	d.fabric.Rebalance()
 	if d.rec != nil {
 		d.rec.Instant(d.track, "degrade", fmt.Sprintf("lat=%g bw=%g", lat, bw))
@@ -304,7 +305,7 @@ func (d *Device) Recover() {
 	}
 	d.stalled = false
 	d.latFactor = 1
-	d.internal.SetCapacity(d.spec.Bandwidth)
+	d.MediaLink().SetCapacity(d.spec.Bandwidth)
 	d.fabric.Rebalance()
 	if d.rec != nil {
 		d.rec.Instant(d.track, "recover", "")
@@ -321,7 +322,7 @@ func (d *Device) Stalled() bool { return d.stalled }
 // stalled, not latency- or bandwidth-degraded).
 func (d *Device) Healthy() bool {
 	return !d.down && !d.stalled && d.latFactor == 1 &&
-		d.internal.Capacity() == d.spec.Bandwidth
+		d.MediaLink().Capacity() == d.spec.Bandwidth
 }
 
 // Submit enqueues an operation; done (if non-nil) fires at completion with
@@ -398,10 +399,7 @@ func (d *Device) SubmitResult(op Op, done func(lat sim.Duration, err error)) {
 			if d.rec != nil && op.ID != 0 {
 				d.rec.Span(d.track, "arbitrate", acquired, obs.DetailOp(op.ID, op.Stripe))
 			}
-			path := make([]*pcie.Link, 0, 2+len(d.extra))
-			path = append(path, d.internal, d.slot)
-			path = append(path, d.extra...)
-			d.fabric.TransferCapped(op.Size, d.spec.ChannelBandwidth, path, func(at sim.Time) {
+			d.fabric.TransferCapped(op.Size, d.spec.ChannelBandwidth, d.path, func(at sim.Time) {
 				ch.Release(1)
 				lat := at.Sub(start)
 				d.Ops.Inc()

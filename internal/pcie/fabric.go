@@ -38,9 +38,14 @@ type Link struct {
 	// bytesMoved accumulates payload carried, for utilization reporting.
 	bytesMoved float64
 
+	// inflight counts the in-flight flows crossing the link, once per
+	// occurrence on a flow's path. It is kept on arrival and completion so
+	// that a rebalance starts from it instead of walking every path.
+	inflight int32
+
 	// Scratch fields used during rate recomputation.
+	unfrozen int32
 	alloc    float64
-	unfrozen int
 
 	// obsUtil, when non-nil, receives the link's instantaneous allocation
 	// fraction at every fabric rebalance.
@@ -72,18 +77,19 @@ func (l *Link) Utilization(now sim.Time) float64 {
 	return l.bytesMoved / (l.capacity * secs)
 }
 
-// Flow is an in-progress transfer across a path of links. Its instantaneous
+// flow is an in-progress transfer across a path of links. Its instantaneous
 // rate is the max-min fair share across every link it traverses, further
 // bounded by an optional per-flow cap (e.g. one RDMA queue pair's limit).
-type Flow struct {
+// Completed flows are recycled through the fabric's free list.
+type flow struct {
 	path      []*Link
 	remaining float64
-	size      float64
 	rate      float64
 	cap       float64 // 0 = uncapped
 	done      func(at sim.Time)
-	frozen    bool // scratch during recompute
-	finished  bool
+	// frozen marks the rate fixed in the current rebalance when it equals
+	// the fabric's frozenMark.
+	frozen uint32
 
 	// Observability (populated only when the fabric is recorded): start
 	// stamp and the ideal uncontended duration — size over the narrowest
@@ -92,24 +98,37 @@ type Flow struct {
 	// as the pcie/alloc-wait histogram.
 	start sim.Time
 	ideal sim.Duration
+
+	// next chains the fabric's free list, and its just-completed flows
+	// while their callbacks are pending.
+	next *flow
 }
-
-// Rate reports the flow's current fair-share rate in bytes/sec.
-func (f *Flow) Rate() units.BytesPerSec { return units.BytesPerSec(f.rate) }
-
-// Remaining reports the bytes not yet transferred.
-func (f *Flow) Remaining() float64 { return f.remaining }
 
 // Fabric is the fluid-flow bandwidth simulator. Transfers are modeled as
 // fluid flows whose rates are recomputed (progressive-filling max-min
 // fairness, honoring per-flow caps) whenever a flow starts or completes.
+//
+// The steady-state hot path allocates nothing: flow records come from a
+// free list and the flow slice is compacted in place. The free list never
+// holds more records than there are flows in flight, and a fabric that
+// drains drops its flow slice too, so an idle fabric retains no more than
+// one that never ran.
 type Fabric struct {
-	eng        *sim.Engine
-	links      []*Link
-	flows      []*Flow
+	eng    *sim.Engine
+	links  []*Link
+	flows  []*flow
+	free   *flow
+	minCap float64 // smallest cap among flows in flight (+Inf if none)
+	spare  int32   // records on the free list
+	// frozenMark is the flow.frozen value that means "frozen". Every
+	// rebalance ends with all flows frozen and starts by advancing the
+	// mark, which unfreezes them all without touching them. A flow's mark
+	// is then exactly one behind, so wrapping around is harmless.
+	frozenMark uint32
 	lastUpdate sim.Time
 	next       sim.Handle
-	hasNext    bool
+	nextAt     sim.Time // when the pending completion fires; 0 when none is
+	onNext     func()   // fb.onCompletion, bound once
 
 	// Observability handle, resolved once at construction (nil when off).
 	rec *obs.Recorder
@@ -117,7 +136,8 @@ type Fabric struct {
 
 // NewFabric creates an empty fabric on the engine.
 func NewFabric(eng *sim.Engine) *Fabric {
-	fb := &Fabric{eng: eng, lastUpdate: eng.Now()}
+	fb := &Fabric{eng: eng, lastUpdate: eng.Now(), minCap: math.Inf(1)}
+	fb.onNext = fb.onCompletion
 	if obs.On {
 		fb.rec = obs.Rec(eng)
 	}
@@ -143,22 +163,39 @@ func (fb *Fabric) NewLink(name string, capacity units.BytesPerSec) *Link {
 	return l
 }
 
-// ActiveFlows reports the number of in-flight transfers.
-func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
-
 // Transfer starts moving size bytes across path and calls done (if non-nil)
 // when the last byte lands. A zero/negative size completes immediately. An
 // empty path panics — latency-only waits belong on the engine directly.
-func (fb *Fabric) Transfer(size int64, path []*Link, done func(at sim.Time)) *Flow {
-	return fb.TransferCapped(size, 0, path, done)
+// The fabric keeps path until the transfer completes; the caller must not
+// modify it in the meantime.
+func (fb *Fabric) Transfer(size int64, path []*Link, done func(at sim.Time)) {
+	fb.TransferCapped(size, 0, path, done)
 }
 
 // TransferCapped is Transfer with a per-flow rate cap (0 = uncapped).
-func (fb *Fabric) TransferCapped(size int64, rateCap units.BytesPerSec, path []*Link, done func(at sim.Time)) *Flow {
+func (fb *Fabric) TransferCapped(size int64, rateCap units.BytesPerSec, path []*Link, done func(at sim.Time)) {
 	if len(path) == 0 {
 		panic("pcie: transfer with empty path")
 	}
-	f := &Flow{path: path, remaining: float64(size), size: float64(size), cap: float64(rateCap), done: done}
+	if size <= 0 {
+		if done != nil {
+			fb.eng.Immediately(func() { done(fb.eng.Now()) })
+		}
+		return
+	}
+	f := fb.free
+	if f != nil {
+		fb.free = f.next
+		fb.spare--
+		f.next = nil
+	} else {
+		f = &flow{}
+	}
+	f.path, f.remaining, f.cap, f.done = path, float64(size), float64(rateCap), done
+	f.frozen = fb.frozenMark
+	if f.cap > 0 && f.cap < fb.minCap {
+		fb.minCap = f.cap
+	}
 	if fb.rec != nil {
 		f.start = fb.eng.Now()
 		minCap := math.Inf(1)
@@ -170,21 +207,16 @@ func (fb *Fabric) TransferCapped(size int64, rateCap units.BytesPerSec, path []*
 		if f.cap > 0 && f.cap < minCap {
 			minCap = f.cap
 		}
-		if f.size > 0 && !math.IsInf(minCap, 1) {
-			f.ideal = sim.Duration(f.size / minCap * float64(sim.Second))
+		if !math.IsInf(minCap, 1) {
+			f.ideal = sim.Duration(float64(size) / minCap * float64(sim.Second))
 		}
 	}
-	if f.remaining <= 0 {
-		f.finished = true
-		if done != nil {
-			fb.eng.Immediately(func() { done(fb.eng.Now()) })
-		}
-		return f
+	for _, l := range path {
+		l.inflight++
 	}
 	fb.advance()
 	fb.flows = append(fb.flows, f)
 	fb.rebalance()
-	return f
 }
 
 // Rebalance advances accounting to the current instant and recomputes all
@@ -225,21 +257,21 @@ func (fb *Fabric) advance() {
 }
 
 // rebalance recomputes max-min fair rates and schedules the next completion.
+// DESIGN.md ("PCIe max-min arbiter") argues why every rate, allocation and
+// completion time is bit-identical to a plain progressive filling that
+// rescans every flow and path each round.
 func (fb *Fabric) rebalance() {
 	// Progressive filling. Reset scratch state.
 	for _, l := range fb.links {
 		l.alloc = 0
-		l.unfrozen = 0
+		l.unfrozen = l.inflight
 	}
-	unfrozen := 0
-	for _, f := range fb.flows {
-		f.frozen = false
-		f.rate = 0
-		unfrozen++
-		for _, l := range f.path {
-			l.unfrozen++
-		}
-	}
+	fb.frozenMark++
+	mark := fb.frozenMark
+	unfrozen := len(fb.flows)
+	// soonest is the smallest remaining/rate over the flows frozen so far:
+	// the time to the next completion.
+	soonest := math.Inf(1)
 	for unfrozen > 0 {
 		// Find the bottleneck share: the smallest per-flow headroom across
 		// links that still carry unfrozen flows.
@@ -256,41 +288,65 @@ func (fb *Fabric) rebalance() {
 			}
 		}
 		if bottleneck == nil {
-			break // no unfrozen flow touches any link; cannot happen with non-empty paths
+			// No unfrozen flow touches any link; cannot happen with
+			// non-empty paths.
+			for _, f := range fb.flows {
+				if f.frozen != mark {
+					f.rate, f.frozen = 0, mark
+				}
+			}
+			break
 		}
 		if share < 0 {
 			share = 0
 		}
 		// A capped flow below the bottleneck share freezes at its cap first.
-		var minCapFlow *Flow
-		for _, f := range fb.flows {
-			if f.frozen || f.cap <= 0 || f.cap >= share {
+		// No flow in flight has a cap below fb.minCap.
+		if fb.minCap < share {
+			var minCapFlow *flow
+			for _, f := range fb.flows {
+				if f.frozen == mark || f.cap <= 0 || f.cap >= share {
+					continue
+				}
+				if minCapFlow == nil || f.cap < minCapFlow.cap {
+					minCapFlow = f
+				}
+			}
+			if minCapFlow != nil {
+				freeze(minCapFlow, minCapFlow.cap, mark)
+				unfrozen--
+				if t := minCapFlow.remaining / minCapFlow.cap; t < soonest {
+					soonest = t
+				}
 				continue
 			}
-			if minCapFlow == nil || f.cap < minCapFlow.cap {
-				minCapFlow = f
-			}
 		}
-		if minCapFlow != nil {
-			fb.freeze(minCapFlow, minCapFlow.cap)
-			unfrozen--
-			continue
-		}
-		// Otherwise freeze every unfrozen flow crossing the bottleneck link.
+		// Otherwise freeze every unfrozen flow crossing the bottleneck link,
+		// in flow order, stopping once the link has none left. They all get
+		// the same rate, so the first of them to finish is the one with the
+		// least remaining.
+		minRemaining := math.Inf(1)
 		for _, f := range fb.flows {
-			if f.frozen {
+			if bottleneck.unfrozen == 0 {
+				break
+			}
+			if f.frozen == mark {
 				continue
 			}
-			crosses := false
 			for _, l := range f.path {
 				if l == bottleneck {
-					crosses = true
+					freeze(f, share, mark)
+					unfrozen--
+					if f.remaining < minRemaining {
+						minRemaining = f.remaining
+					}
 					break
 				}
 			}
-			if crosses {
-				fb.freeze(f, share)
-				unfrozen--
+		}
+		if share > 0 {
+			if t := minRemaining / share; t < soonest {
+				soonest = t
 			}
 		}
 	}
@@ -313,11 +369,13 @@ func (fb *Fabric) rebalance() {
 				"flow rate %.0f B/s outside [0, cap %.0f B/s]", f.rate, f.cap)
 		}
 	}
-	fb.scheduleNext()
+	fb.scheduleNext(soonest)
 }
 
-func (fb *Fabric) freeze(f *Flow, rate float64) {
-	f.frozen = true
+// freeze fixes f's rate, marking it frozen with mark, and charges it to
+// every link on f's path.
+func freeze(f *flow, rate float64, mark uint32) {
+	f.frozen = mark
 	f.rate = rate
 	for _, l := range f.path {
 		l.alloc += rate
@@ -325,20 +383,12 @@ func (fb *Fabric) freeze(f *Flow, rate float64) {
 	}
 }
 
-func (fb *Fabric) scheduleNext() {
-	if fb.hasNext {
+// scheduleNext replaces the pending completion with one soonest seconds
+// from now (none when soonest is +Inf).
+func (fb *Fabric) scheduleNext(soonest float64) {
+	if fb.nextAt != 0 {
 		fb.next.Cancel(fb.eng)
-		fb.hasNext = false
-	}
-	soonest := math.Inf(1)
-	for _, f := range fb.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		t := f.remaining / f.rate
-		if t < soonest {
-			soonest = t
-		}
+		fb.nextAt = 0
 	}
 	if math.IsInf(soonest, 1) {
 		return
@@ -349,31 +399,43 @@ func (fb *Fabric) scheduleNext() {
 	if delay < 1 {
 		delay = 1
 	}
-	fb.next = fb.eng.After(delay, fb.onCompletion)
-	fb.hasNext = true
+	fb.next = fb.eng.After(delay, fb.onNext)
+	fb.nextAt = fb.eng.Now().Add(delay)
 }
 
 // completionEpsilon absorbs float rounding in remaining-byte accounting.
 const completionEpsilon = 1e-3
 
 func (fb *Fabric) onCompletion() {
-	fb.hasNext = false
+	fb.nextAt = 0
 	fb.advance()
-	var still []*Flow
-	var completed []*Flow
+	// Compact the finished flows out in place, chaining them in flow order.
+	var first, last *flow
+	kept := fb.flows[:0]
+	fb.minCap = math.Inf(1)
 	for _, f := range fb.flows {
-		if f.remaining <= completionEpsilon {
-			f.remaining = 0
-			f.finished = true
-			completed = append(completed, f)
-		} else {
-			still = append(still, f)
+		if f.remaining > completionEpsilon {
+			kept = append(kept, f)
+			if f.cap > 0 && f.cap < fb.minCap {
+				fb.minCap = f.cap
+			}
+			continue
 		}
+		for _, l := range f.path {
+			l.inflight--
+		}
+		if last == nil {
+			first = f
+		} else {
+			last.next = f
+		}
+		last = f
 	}
-	fb.flows = still
+	clear(fb.flows[len(kept):])
+	fb.flows = kept
 	fb.rebalance()
 	now := fb.eng.Now()
-	for _, f := range completed {
+	for f := first; f != nil; {
 		if fb.rec != nil && f.ideal > 0 {
 			// Allocation wait: how much longer the transfer took than it
 			// would have alone on its narrowest link. Completion rounds up
@@ -384,8 +446,20 @@ func (fb *Fabric) onCompletion() {
 			}
 			fb.rec.Observe("pcie/alloc-wait", float64(wait))
 		}
-		if f.done != nil {
-			f.done(now)
+		next, done := f.next, f.done
+		*f = flow{next: fb.free}
+		fb.free = f
+		fb.spare++
+		if done != nil {
+			done(now)
 		}
+		f = next
+	}
+	for int(fb.spare) > len(fb.flows) {
+		fb.free = fb.free.next
+		fb.spare--
+	}
+	if len(fb.flows) == 0 {
+		fb.flows = nil
 	}
 }

@@ -160,15 +160,28 @@ func (p *Policy) OneShot() bool {
 // Deterministic by construction: candidates are filtered by the predicate
 // chain, scored by the weighted prioritizer sum, and ties break on the
 // lowest ID — so the result is independent of candidate order.
+//
+// The feasible set is collected only when an extender reads it, so a policy
+// without one places without allocating.
 func (p *Policy) Place(r Request, cands []Candidate) int {
 	chosen := -1
 	var best float64
-	feasible := make([]Candidate, 0, len(cands))
+	var feasible []Candidate
+	collect := false
+	for _, e := range p.Extenders {
+		if e.Extend != nil {
+			collect = true
+			feasible = make([]Candidate, 0, len(cands))
+			break
+		}
+	}
 	for _, c := range cands {
 		if !p.Feasible(r, c) {
 			continue
 		}
-		feasible = append(feasible, c)
+		if collect {
+			feasible = append(feasible, c)
+		}
 		s := p.score(r, c)
 		if chosen < 0 || s > best || (s == best && c.ID < chosen) {
 			chosen, best = c.ID, s
